@@ -296,18 +296,20 @@ func (st *Store) Restore(c *machine.CPU, s *Snapshot) (time.Duration, error) {
 	return cost, nil
 }
 
-// AutoSave installs a retire hook that checkpoints the CPU each time
-// its result stream grows past another `every` result values (the
-// simulation's observable notion of an application step). The
-// high-water mark is monotonic, so re-execution after a rollback does
-// not re-write checkpoints it already paid for. The returned function
-// removes the hook.
+// AutoSave checkpoints the CPU each time its result stream grows past
+// another `every` result values (the simulation's observable notion of
+// an application step). Results only grow through the result_f64 host
+// call, so the check runs at a host-call stop point and the run stays
+// on the fast engine between host calls. The high-water mark is
+// monotonic, so re-execution after a rollback does not re-write
+// checkpoints it already paid for. The returned function removes the
+// point.
 func AutoSave(st *Store, c *machine.CPU, every int) (remove func()) {
 	if every <= 0 {
 		return func() {}
 	}
 	saved := 0 // highest result count already checkpointed
-	return c.AddAfterStep(func(cc *machine.CPU, _ *machine.Image, _ int, _ *machine.MInstr) {
+	return c.StopAtHostCall(func(cc *machine.CPU, _ *machine.Image, _ int, _ *machine.MInstr) {
 		if cc.Env == nil {
 			return
 		}
@@ -315,5 +317,5 @@ func AutoSave(st *Store, c *machine.CPU, every int) (remove func()) {
 			saved = n - n%every
 			st.Save(cc, saved)
 		}
-	})
+	}).Remove
 }

@@ -162,7 +162,7 @@ func TestClusterTierEquivalence(t *testing.T) {
 		return res
 	}
 	step := run(machine.TierStep)
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
+	for _, tier := range []machine.InterpTier{machine.TierSuperblock} {
 		fast := run(tier)
 		if fast.Completed != step.Completed || fast.Ranks != step.Ranks ||
 			fast.Cores != step.Cores || fast.MaxDyn != step.MaxDyn ||

@@ -162,6 +162,7 @@ func DefenseStudyArms(names []string, arms []DefenseArm, n int, model faultinjec
 				Safeguard: opts.Safeguard,
 				Store:     opts.Store,
 				StoreKey:  CampaignKey("campaign", name, p, opt, arm.Defenses, seed, opts),
+				Engine:    opts.Engine,
 			}).Run()
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, arm.Name, err)

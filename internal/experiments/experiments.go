@@ -64,8 +64,8 @@ type StudyOptions struct {
 	// (0 = TotalDyn/64+1).
 	SnapEvery uint64
 	// Tier selects the interpreter tier trial processes run on
-	// (superblock, block or step); results stay bit-identical on every
-	// tier (the CI smoke diffs them).
+	// (superblock or step); results stay bit-identical on both tiers
+	// (the CI smoke and the trace fixtures diff them).
 	Tier machine.InterpTier
 	// Domains attributes each memory-symptom soft failure to the
 	// isolation domain of its faulting address
@@ -98,6 +98,10 @@ type StudyOptions struct {
 	// workers as blob references instead of inline payloads. Study
 	// results, traces included, are byte-identical with or without it.
 	Store *store.Store
+	// Engine, when non-nil, accumulates the interpreter counters of
+	// every campaign trial and coverage attempt run in this process.
+	// Never part of any trace or table.
+	Engine *faultinject.EngineTally
 }
 
 // CampaignKey derives the store cache key for one study campaign: the
@@ -144,6 +148,7 @@ func OutcomeStudy(names []string, n, faults int, model faultinject.Model, seed i
 			Tier: opts.Tier, Domains: opts.Domains,
 			Shards: opts.Shards, ShardExec: opts.ShardExec, Progress: opts.Progress,
 			Store: opts.Store, StoreKey: CampaignKey("campaign", name, p, opt, nil, seed, opts),
+			Engine: opts.Engine,
 		}
 		var res *faultinject.CampaignResult
 		if opts.Shards > 1 {

@@ -125,6 +125,7 @@ func PolicyStudy(names []string, trials, faultsPerTrial int, model faultinject.M
 			CheckpointModel:        spec.CheckpointModel,
 			Workers:                opts.Workers,
 			Tier:                   opts.Tier,
+			Engine:                 opts.Engine,
 		}
 		res, err := exp.Run()
 		if err != nil && res == nil {

@@ -103,6 +103,9 @@ type CoverageExperiment struct {
 	// with and without snapshots never collide.
 	Store    *store.Store
 	StoreKey store.Key
+	// Engine, when non-nil, accumulates every attempt's interpreter
+	// counters, as on Campaign.
+	Engine *EngineTally
 }
 
 // RecordedInjection identifies a replayable injection.
@@ -387,7 +390,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		cpuRec = trace.New(1024)
 		p.CPU.Trace = cpuRec
 	}
-	armed := armAllSeeded(p.CPU, specs, seed)
+	armed := armSeeded(p.CPU, specs, seed)
 	limit := hang * prof.TotalDyn
 	if snap != nil {
 		// The fault-free golden prefix retires one instruction per step,
@@ -395,6 +398,7 @@ func (e *CoverageExperiment) runAttempt(i int, prof *profiler.Profile, smp *samp
 		limit -= snap.Dyn
 	}
 	status := p.Run(limit)
+	e.Engine.add(p.CPU.Counters)
 	a := AttemptResult{Index: i}
 	fired := false
 	for _, st := range armed {

@@ -9,8 +9,8 @@ import (
 	"care/internal/safeguard"
 )
 
-// TestCampaignEngineEquivalence is the fast tiers' end-to-end contract:
-// a campaign run on the superblock or block engine is bit-identical —
+// TestCampaignEngineEquivalence is the fast tier's end-to-end contract:
+// a campaign run on the superblock engine is bit-identical —
 // every result field and the exported trace JSONL — to the same
 // campaign forced onto the legacy per-instruction Step loop, across
 // worker counts and under the multi-fault model.
@@ -40,7 +40,7 @@ func TestCampaignEngineEquivalence(t *testing.T) {
 			if err := step.Trace.WriteJSONL(&sj); err != nil {
 				t.Fatal(err)
 			}
-			for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
+			for _, tier := range []machine.InterpTier{machine.TierSuperblock} {
 				fast := run(tier, 8)
 				if !reflect.DeepEqual(fast, step) {
 					t.Fatalf("campaign result differs between %v engine and step loop:\n%+v\nvs\n%+v", tier, fast, step)
@@ -73,7 +73,7 @@ func TestCampaignEngineEquivalenceWarmStart(t *testing.T) {
 		return res
 	}
 	step := run(machine.TierStep)
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
+	for _, tier := range []machine.InterpTier{machine.TierSuperblock} {
 		if fast := run(tier); !reflect.DeepEqual(fast, step) {
 			t.Fatalf("warm-start campaign differs between %v engine and step loop:\n%+v\nvs\n%+v", tier, fast, step)
 		}
@@ -110,7 +110,7 @@ func TestCoverageEngineEquivalence(t *testing.T) {
 		return c
 	}
 	step := run(machine.TierStep)
-	for _, tier := range []machine.InterpTier{machine.TierSuperblock, machine.TierBlock} {
+	for _, tier := range []machine.InterpTier{machine.TierSuperblock} {
 		fast := run(tier)
 		if a, b := scrub(fast), scrub(step); !reflect.DeepEqual(a, b) {
 			t.Fatalf("coverage logical fields differ between %v engine and step loop:\n%+v\nvs\n%+v", tier, a, b)
@@ -123,6 +123,28 @@ func TestCoverageEngineEquivalence(t *testing.T) {
 			if fast.Events[i].Outcome != step.Events[i].Outcome {
 				t.Errorf("event %d outcome %s vs %s", i, fast.Events[i].Outcome, step.Events[i].Outcome)
 			}
+		}
+	}
+}
+
+// TestColdTrialStaysOnEngine guards against a silent deopt: a cold
+// single-fault trial must retire almost everything on the superblock
+// engine — arming is a stop point, not a retire hook — leaving Step
+// only the host calls and the one retirement that fires the fault.
+func TestColdTrialStaysOnEngine(t *testing.T) {
+	bin := buildWorkload(t, "HPCCG", 0, false)
+	for i := 0; i < 4; i++ {
+		eng := &EngineTally{}
+		c := &Campaign{App: bin, N: 1, Seed: int64(100 + i), Workers: 1, Engine: eng}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ec := eng.Counters()
+		if ec.SuperRetired == 0 || ec.StepShare() >= 0.01 {
+			t.Fatalf("seed %d: %v — over 1%% of the trial retired on Step", c.Seed, ec)
+		}
+		if ec.HookDeopts != 0 {
+			t.Fatalf("seed %d: %d hook deopts in a plain campaign trial", c.Seed, ec.HookDeopts)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"care/internal/core"
@@ -224,89 +225,87 @@ type ArmSpec struct {
 	Bits    []int
 }
 
-// Arm installs a single injection hook on the CPU: after the
-// instruction matching the trigger retires, flip the given bits in its
-// destination.
+// Arm arms a single fault on the CPU: after the instruction matching
+// the trigger retires, flip the given bits in its destination.
 func Arm(cpu *machine.CPU, trig Trigger, bits []int) *Armed {
 	return ArmAll(cpu, []ArmSpec{{Trigger: trig, Bits: bits}})[0]
 }
 
-// ArmAll arms several independent faults on one CPU through a single
-// retire hook (the multi-fault model: K transient upsets per run).
+// ArmAll arms several independent faults on one CPU (the multi-fault
+// model: K transient upsets per run), each as a machine stop point, so
+// the run stays on the fast engine up to the retirement that fires it.
 // Specs fire independently, in spec order when several trigger on the
-// same retirement. The hook composes with other retire hooks via
-// machine.AddAfterStep and stays installed until every spec has fired —
-// a fired fault never re-fires (a transient upset happens once), while
-// unfired faults remain armed even if a checkpoint rollback rewinds the
-// dynamic-instruction clock past their trigger.
+// same retirement. A fired fault never re-fires (a transient upset
+// happens once), while unfired faults remain armed even if a checkpoint
+// rollback rewinds the dynamic-instruction clock past their trigger.
 func ArmAll(cpu *machine.CPU, specs []ArmSpec) []*Armed {
-	return armAllSeeded(cpu, specs, nil)
+	return armSeeded(cpu, specs, nil)
 }
 
+// armSeeded is the arming the campaigns use; a variable so tests can
+// check it trial by trial against a retire-hook oracle.
+var armSeeded = armAllSeeded
+
 // armAllSeeded is ArmAll with pre-seeded occurrence counters: a
-// warm-started process resumes mid-run, so the retire hook never sees
+// warm-started process resumes mid-run, so the stop point never sees
 // the skipped prefix's retirements and seed[si] must carry how many
 // times spec si's static instruction already retired in it. A nil seed
-// is the cold start. The states backing is allocated as one block and
-// the occurrence counters only when some spec needs them (the campaign
-// hot path is all AtDyn triggers).
+// is the cold start. The states backing is allocated as one block.
 func armAllSeeded(cpu *machine.CPU, specs []ArmSpec, seed []uint64) []*Armed {
 	backing := make([]Armed, len(specs))
 	states := make([]*Armed, len(specs))
-	for i := range states {
-		states[i] = &backing[i]
-	}
-	if len(specs) == 0 {
-		return states
-	}
-	var occ []uint64
-	for i := range specs {
-		if specs[i].Trigger.AtDyn == 0 {
-			occ = make([]uint64, len(specs))
-			copy(occ, seed)
-			break
+	for si := range specs {
+		states[si] = &backing[si]
+		var occ uint64
+		if si < len(seed) {
+			occ = seed[si]
 		}
+		armOne(cpu, specs[si], states[si], occ)
 	}
-	live := len(specs)
-	var remove func()
-	remove = cpu.AddAfterStep(func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
-		for si := range specs {
-			st := states[si]
-			if st.Fired {
-				continue
-			}
-			trig := specs[si].Trigger
-			triggered := false
-			if trig.AtDyn > 0 {
-				triggered = c.Dyn >= trig.AtDyn
-			} else {
-				if img.Prog.Name == trig.Image && idx == trig.StaticIdx {
-					occ[si]++
-				}
-				triggered = occ[si] >= trig.Occurrence && occ[si] > 0
-			}
-			if !triggered {
-				continue
-			}
-			kind, ok := corrupt(c, in, specs[si].Bits)
-			if !ok {
-				continue // no destination; try the next retiring instruction
-			}
-			st.Fired = true
-			st.Dyn = c.Dyn
-			st.Image = img.Prog.Name
-			st.StaticIdx = idx
-			st.Dest = kind
-			live--
-			if st.OnFire != nil {
-				st.OnFire(c, in)
-			}
-		}
-		if live == 0 {
-			remove()
-		}
-	})
 	return states
+}
+
+// armOne registers one fault's stop point. An AtDyn trigger is a Dyn
+// point; an occurrence trigger is a static-instruction point that
+// counts the instruction's retirements (from occ) and fires on the
+// Occurrence'th. When the triggering instruction has no destination
+// the fault moves on: an AtDyn point simply stays armed (it fires after
+// every retirement at or past its target), and an occurrence point
+// becomes a Dyn point at 0, which fires after the next retirement
+// whatever the clock reads.
+func armOne(cpu *machine.CPU, spec ArmSpec, st *Armed, occ uint64) {
+	trig := spec.Trigger
+	var pt *machine.StopPoint
+	fire := func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+		kind, ok := corrupt(c, in, spec.Bits)
+		if !ok {
+			if trig.AtDyn == 0 {
+				pt.MoveToDyn(0)
+			}
+			return
+		}
+		pt.Remove()
+		st.Fired = true
+		st.Dyn = c.Dyn
+		st.Image = img.Prog.Name
+		st.StaticIdx = idx
+		st.Dest = kind
+		if st.OnFire != nil {
+			st.OnFire(c, in)
+		}
+	}
+	switch {
+	case trig.AtDyn > 0:
+		pt = cpu.StopAtDyn(trig.AtDyn, fire)
+	case occ > 0 && occ >= trig.Occurrence:
+		pt = cpu.StopAtDyn(0, fire)
+	default:
+		pt = cpu.StopAfterInstr(trig.Image, trig.StaticIdx, func(c *machine.CPU, img *machine.Image, idx int, in *machine.MInstr) {
+			if occ++; occ >= trig.Occurrence {
+				fire(c, img, idx, in)
+			}
+		})
+	}
 }
 
 // pickBits draws the flip positions for the model.
@@ -372,10 +371,10 @@ type Campaign struct {
 	// prefix at ~1/64 of the run per trial.
 	SnapEvery uint64
 	// Tier selects the interpreter tier every trial runs on
-	// (superblock, block or step; the zero value is the fused
-	// superblock default). The campaign result — including the
-	// exported trace JSONL — is bit-identical on every tier; the CI
-	// smoke diffs them.
+	// (superblock or step; the zero value is the fused superblock
+	// default). The campaign result — including the exported trace
+	// JSONL — is bit-identical on both tiers; the CI smoke and the
+	// trace fixtures diff them.
 	Tier machine.InterpTier
 	// Domains attributes each memory-symptom soft failure (SIGSEGV or
 	// SIGBUS) to the isolation domain of its faulting address,
@@ -424,6 +423,35 @@ type Campaign struct {
 	// the key's Workload is empty (an unkeyed campaign never touches
 	// the index).
 	StoreKey store.Key
+	// Engine, when non-nil, accumulates the interpreter counters of
+	// every trial this process runs. Like the store counters it is
+	// bookkeeping beside the result: trials run by shard worker
+	// processes count there, not here.
+	Engine *EngineTally
+}
+
+// EngineTally sums the machine engine counters (instructions retired
+// per tier, Step hand-offs by cause) of trials running concurrently.
+type EngineTally struct {
+	mu sync.Mutex
+	c  machine.EngineCounters
+}
+
+// add folds one trial CPU's counters in; a nil tally ignores them.
+func (t *EngineTally) add(c machine.EngineCounters) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.c.Add(c)
+	t.mu.Unlock()
+}
+
+// Counters returns the sum so far.
+func (t *EngineTally) Counters() machine.EngineCounters {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.c
 }
 
 // WarmStartStats accounts for the work a warm-started campaign skipped.
@@ -586,7 +614,7 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 	if c.Trace {
 		p.CPU.Trace = rec
 	}
-	armed := ArmAll(p.CPU, specs)
+	armed := armSeeded(p.CPU, specs, nil)
 	var tracker *taint.Tracker
 	if c.TrackPropagation {
 		tracker = taint.Attach(p.CPU)
@@ -607,6 +635,7 @@ func (c *Campaign) runTrial(i int, prof *profiler.Profile, hang uint64) (TrialRe
 		limit -= skipped
 	}
 	status := p.Run(limit)
+	c.Engine.add(p.CPU.Counters)
 	// Fold the safeguard's private trace (activations, phase spans, the
 	// recovered/detected counters) into the trial recorder so campaign
 	// merges see recovery outcomes alongside injection outcomes.

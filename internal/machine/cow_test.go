@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"testing"
 
 	"care/internal/debuginfo"
@@ -187,5 +188,74 @@ func TestStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("step path allocates %.1f times per 1024-step run, want 0", allocs)
+	}
+}
+
+// TestStackSnapshotCompacted: a private main stack is captured as the
+// part above its zero prefix and stays private (no copy-on-write fault
+// at the next push); restoring — in place over the live stack, or into
+// a fresh memory — reproduces every byte, including zeroing what the
+// live stack wrote below the captured part since, and sizes stay the
+// segment's.
+func TestStackSnapshotCompacted(t *testing.T) {
+	m := NewMemory()
+	st, err := m.Map(StackTop-DefaultStackSize, DefaultStackSize, "stack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := StackTop - 8
+	for i := Word(0); i < 64; i++ {
+		if f := m.Write(top-8*i, 0x1000+i); f != nil {
+			t.Fatal(f)
+		}
+	}
+	want := append([]byte(nil), st.Data...)
+	sn := m.Snapshot()
+	var img *SegSnapshot
+	for i := range sn.Segs {
+		if sn.Segs[i].Base == st.Base {
+			img = &sn.Segs[i]
+		}
+	}
+	if img == nil || img.Len() != DefaultStackSize || len(img.Data) >= DefaultStackSize/2 {
+		t.Fatalf("stack image: %d bytes kept of %d", len(img.Data), img.Len())
+	}
+	if st.Shared() {
+		t.Fatal("capturing the private stack froze it")
+	}
+	if got := sn.Bytes(); got != 16+16+len("stack")+DefaultStackSize {
+		t.Fatalf("snapshot Bytes = %d, want the whole segment counted", got)
+	}
+	// Diverge: overwrite the captured part and write far below it.
+	deep := StackTop - DefaultStackSize + 64
+	for _, a := range []Word{top, top - 8*63, deep} {
+		if f := m.Write(a, 0xdead); f != nil {
+			t.Fatal(f)
+		}
+	}
+	live := &m.Find(st.Base).Data[0]
+	m.Restore(sn)
+	s := m.Find(st.Base)
+	if !bytes.Equal(s.Data, want) {
+		t.Fatal("in-place restore differs from the captured stack")
+	}
+	if &s.Data[0] != live || s.Shared() {
+		t.Fatal("restoring over the private live stack allocated a new one")
+	}
+	// The same image into a fresh memory: a private expanded copy.
+	m2 := NewMemory()
+	m2.Restore(sn)
+	if s2 := m2.Find(st.Base); s2 == nil || !bytes.Equal(s2.Data, want) || s2.Shared() {
+		t.Fatal("restore into a fresh memory differs")
+	}
+	// And a stack-domain rewind, in place.
+	if f := m.Write(deep, 7); f != nil {
+		t.Fatal(f)
+	}
+	if err := m.RestoreDomain(sn.DomainView(DomainStack)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Find(st.Base).Data, want) {
+		t.Fatal("stack-domain rewind differs from the captured stack")
 	}
 }

@@ -69,9 +69,11 @@ const (
 // one. The handler may mutate the CPU's registers and memory.
 type TrapHandler func(c *CPU, t *Trap) TrapAction
 
-// StepHook is invoked right after an instruction retires; the fault
-// injector uses it to corrupt destination operands "right after the
-// instruction is executed" (paper §2.1.1).
+// StepHook is invoked around an instruction's retirement with the
+// retiring instruction: the callback of a stop point (the fault
+// injector corrupts destination operands there, "right after the
+// instruction is executed", paper §2.1.1), and the BeforeStep/AfterStep
+// retire hooks of research tools.
 type StepHook func(c *CPU, img *Image, idx int, in *MInstr)
 
 // CPU is one simulated hardware thread plus its process context
@@ -105,6 +107,11 @@ type CPU struct {
 	// BeforeStep, when non-nil, runs before an instruction executes
 	// (registers still hold the operand values the instruction will
 	// read). Taint tracking uses it to apply propagation rules.
+	//
+	// BeforeStep, AfterStep and AddAfterStep hooks see every
+	// instruction, so while one is installed Run executes on Step
+	// alone. They are for research tools and test oracles; features
+	// that act at a point register a stop point instead (stop.go).
 	BeforeStep StepHook
 	// AfterStep, when non-nil, runs after every retired instruction.
 	AfterStep StepHook
@@ -130,16 +137,30 @@ type CPU struct {
 	Trace *trace.Recorder
 
 	// Tier selects the interpreter loop Run uses when no hooks are
-	// installed: the fused superblock engine (the zero-value default),
-	// the per-µop block engine, or the legacy Step loop. Campaigns
-	// expose it (-interp) so the faster tiers' bit-identity can be
-	// checked end to end; results must not depend on it.
+	// installed: the fused superblock engine (the zero-value default)
+	// or the Step loop. Campaigns expose it (-interp) so the engine's
+	// bit-identity can be checked end to end; results must not depend
+	// on it.
 	Tier InterpTier
 
+	// Counters accounts for which tier retired what and why the engine
+	// handed instructions to Step (bookkeeping only; see
+	// EngineCounters).
+	Counters EngineCounters
+
 	// afterLive counts the non-nil entries of afterHooks, so Run's
-	// block-engine eligibility check is O(1) instead of scanning the
+	// engine eligibility check is O(1) instead of scanning the
 	// (append-only, nil-holed) hook slice every iteration.
 	afterLive int
+
+	// stops are the registered stop points in firing order; dynStop is
+	// the lowest Dyn-point threshold (0 when none, and at least 1 when
+	// set: every retirement leaves Dyn >= 1); curBrks caches the
+	// current image's static-point indices while curBrksOK.
+	stops     []*StopPoint
+	dynStop   uint64
+	curBrks   []int32
+	curBrksOK bool
 
 	// ics holds this CPU's per-image memory inline caches (one slot
 	// per memory µop of the image's plan). Strictly per-CPU: plans are
@@ -165,10 +186,10 @@ type CPU struct {
 
 // AddAfterStep installs an additional retire hook without disturbing
 // AfterStep or previously-installed hooks, and returns a function that
-// removes exactly this hook. Several subsystems observe retirement at
-// once (fault injectors arming independent faults, the checkpoint
-// cadence, tracers), so hooks must compose rather than overwrite each
-// other.
+// removes exactly this hook. Several observers (tracers, test
+// oracles) may watch retirement at once, so hooks compose rather than
+// overwrite each other. While any hook is installed Run executes on
+// Step alone; to act at one retirement, register a stop point.
 func (c *CPU) AddAfterStep(h StepHook) (remove func()) {
 	c.afterHooks = append(c.afterHooks, h)
 	c.afterLive++
@@ -514,6 +535,7 @@ func (c *CPU) Step() {
 	}
 
 	c.Dyn++
+	c.Counters.StepRetired++
 	if c.Profile {
 		cnts := c.curCounts
 		if cnts == nil {
@@ -536,21 +558,35 @@ func (c *CPU) Step() {
 			h(c, img, idx, in)
 		}
 	}
+	if len(c.stops) > 0 {
+		c.firePoints(img, idx, in)
+	}
 }
 
 // Run steps the CPU until it exits, traps, blocks, or retires `limit`
 // additional instructions (0 means no limit). It returns the status.
 //
-// When no step hooks are installed (and Tier is not TierStep), Run
-// executes through the predecoded engines — the fused superblock loop
-// by default, or the per-µop block loop under TierBlock — which batch
-// budget and Dyn accounting and materialise PC lazily; see engine.go.
-// The budget is charged per attempted instruction on every tier — a
-// trapped-and-resumed instruction consumes budget without retiring —
-// so hang classifications and checkpoint cadences are identical
-// whichever loop executes. Hook-installation state is re-checked every
-// iteration: a trap handler that installs a hook mid-run deopts Run to
-// the Step loop at the next block boundary.
+// Two tiers execute: the superblock engine (engine.go), which retires
+// straight-line chains under one budget/Dyn check and materialises PC
+// lazily, and Step, which retires one instruction and then runs the
+// retire hooks and the matching stop points. Run stays on the engine
+// and hands single instructions to Step only where they need it:
+//
+//   - a Dyn point is due: the engine's budget is clamped so it stops
+//     one retirement short of the lowest threshold (the budget counts
+//     attempts, which are never fewer than retirements, so it cannot
+//     overshoot), and the retirement that can fire the point is a Step;
+//   - the engine stopped in front of a static-instruction point, at a
+//     µop it does not carry (host calls, abort/halt, malformed
+//     operands), or at a misaligned PC.
+//
+// While a retire hook is installed (or Tier is TierStep) every
+// instruction goes to Step. The budget is charged per attempted
+// instruction on both tiers — a trapped-and-resumed instruction
+// consumes budget without retiring — so hang classifications and
+// checkpoint cadences are identical whichever tier executes. Hook and
+// point state are re-checked every iteration, so a trap handler or a
+// point callback that changes them takes effect at the next dispatch.
 func (c *CPU) Run(limit uint64) RunStatus {
 	if c.Status == StatusLimit {
 		// A budget pause is resumable (schedulers slice with it).
@@ -560,28 +596,33 @@ func (c *CPU) Run(limit uint64) RunStatus {
 	if limit > 0 {
 		budget = limit
 	}
+loop:
 	for c.Status == StatusRunning {
 		if budget == 0 {
 			c.Status = StatusLimit
 			break
 		}
-		if c.Tier != TierStep && c.BeforeStep == nil && c.AfterStep == nil && c.afterLive == 0 {
-			var n uint64
-			var punt bool
-			if c.Tier == TierBlock {
-				n, punt = c.runBlocks(budget)
-			} else {
-				n, punt = c.runSuper(budget)
+		switch {
+		case c.Tier == TierStep: // the reference tier: Step only
+		case c.BeforeStep != nil || c.AfterStep != nil || c.afterLive != 0:
+			c.Counters.HookDeopts++
+		case c.dynStop != 0 && c.Dyn+1 >= c.dynStop:
+			c.Counters.DynStops++
+		default:
+			b := budget
+			if c.dynStop != 0 && c.dynStop-1-c.Dyn < b {
+				b = c.dynStop - 1 - c.Dyn
 			}
+			n, punt := c.runSuper(b)
 			budget -= n
 			if !punt {
 				continue
 			}
-			// A µop punted: run exactly one legacy Step for it (host
-			// calls, abort/halt, malformed operands), then re-dispatch.
+			// The engine stopped in front of an instruction Step must
+			// retire (a punting µop, a static point, a misaligned PC).
 			if budget == 0 {
 				c.Status = StatusLimit
-				break
+				break loop
 			}
 		}
 		budget--

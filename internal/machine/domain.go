@@ -115,8 +115,8 @@ type DomainSnapshot struct {
 // Bytes returns the domain image size (for rewind cost models).
 func (sn *DomainSnapshot) Bytes() int {
 	n := 0
-	for _, s := range sn.Segs {
-		n += len(s.Data)
+	for i := range sn.Segs {
+		n += sn.Segs[i].Len()
 	}
 	return n
 }
@@ -134,18 +134,16 @@ func (m *Memory) writableLayout() []SegLayout {
 	return out
 }
 
-// SnapshotDomain freezes one domain's writable segments copy-on-write
-// and returns their aliased images — capturing a domain never copies or
-// touches any other domain's bytes. Returns nil when the domain has no
-// writable segments.
+// SnapshotDomain captures one domain's writable segments the way
+// Snapshot does (frozen copy-on-write, the main stack compacted) —
+// capturing a domain never copies or touches any other domain's bytes.
+// Returns nil when the domain has no writable segments.
 func (m *Memory) SnapshotDomain(d DomainID) *DomainSnapshot {
 	sn := &DomainSnapshot{Domain: d, HeapNext: m.heapNext}
 	for _, s := range m.segs {
-		if s.ro || s.Domain != d {
-			continue
+		if !s.ro && s.Domain == d {
+			sn.Segs = append(sn.Segs, s.capture())
 		}
-		s.cow = true
-		sn.Segs = append(sn.Segs, SegSnapshot{Base: s.Base, Name: s.Name, Data: s.Data, Domain: s.Domain})
 	}
 	if len(sn.Segs) == 0 {
 		return nil
@@ -163,7 +161,7 @@ func (m *Memory) SnapshotDomain(d DomainID) *DomainSnapshot {
 func (sn *Snapshot) DomainView(d DomainID) *DomainSnapshot {
 	v := &DomainSnapshot{Domain: d, HeapNext: sn.HeapNext}
 	for _, s := range sn.Segs {
-		v.Layout = append(v.Layout, SegLayout{Base: s.Base, Size: len(s.Data), Domain: s.Domain})
+		v.Layout = append(v.Layout, SegLayout{Base: s.Base, Size: s.Len(), Domain: s.Domain})
 		if s.Domain == d {
 			v.Segs = append(v.Segs, s)
 		}
@@ -192,9 +190,10 @@ var ErrDomainInconsistent = errors.New("machine: domain rewind inconsistent with
 //     allocations cannot silently survive into a stale epoch.
 //
 // Either violation returns ErrDomainInconsistent and changes nothing.
-// Restored segments alias the frozen bytes copy-on-write; segment
-// identity is preserved (only Data is swapped), so image handles into
-// the segments stay valid.
+// Restored segments alias the frozen bytes copy-on-write (a compacted
+// stack image is expanded privately); segment identity is preserved
+// (only Data is swapped), so image handles into the segments stay
+// valid.
 func (m *Memory) RestoreDomain(sn *DomainSnapshot) error {
 	if sn == nil || len(sn.Segs) == 0 {
 		return fmt.Errorf("machine: no segments captured for domain rewind")
@@ -227,8 +226,7 @@ func (m *Memory) RestoreDomain(sn *DomainSnapshot) error {
 	for i := range sn.Segs {
 		ss := &sn.Segs[i]
 		s := m.Find(ss.Base)
-		s.Data = ss.Data
-		s.cow = true
+		s.Data, s.cow = ss.restoreInto(s.private())
 	}
 	if sn.Domain == DomainHeap {
 		m.heapNext = sn.HeapNext

@@ -1,13 +1,24 @@
-// Block-predecoded execution engine. Run's hot path no longer
-// interprets MInstr records one Step at a time: at first use each
-// Program is predecoded into a dense µop array (one µop per
-// instruction, so any PC — including a corrupted, misaligned one — maps
-// onto it with the same base+offset arithmetic Step uses) with operand
-// kinds resolved up front: the src2 immediate-vs-register choice
-// becomes two µop opcodes, absent index registers disappear, and the
-// rare instructions the fast loop does not carry (host calls,
-// abort/halt, malformed operands) become uPunt µops that fall back to
-// the legacy Step for exactly one instruction.
+// The superblock execution engine. Run has two tiers: this engine and
+// the per-instruction Step loop, the reference semantics. At first use
+// each Program is predecoded into a dense µop array (one µop per
+// instruction, so any aligned PC maps onto it with the same
+// base+offset arithmetic Step uses) with operand kinds resolved up
+// front: the src2 immediate-vs-register choice becomes two µop
+// opcodes, absent index registers disappear, and the rare instructions
+// the engine does not carry (host calls, abort/halt, malformed
+// operands) become uPunt µops that Step retires.
+//
+// Predecode also resolves in-image Jmp/Jnz/Jz/Call targets to µop
+// indices (uop.tidx) so taken branches jump straight to the successor
+// µop, and computes per-index fallthrough-run lengths
+// (blockPlan.runLen) so each straight-line chain retires under ONE
+// budget/Dyn accounting check instead of one per instruction. Because
+// runLen is indexed per µop, a chain entered mid-way — a
+// multi-predecessor leader reached by a linked branch — simply pays its
+// accounting check at the entry point. Branch targets that cannot be
+// linked (outside the image, mid-instruction, or landing on a punting
+// µop) are demoted at predecode: the branch materialises the PC and
+// returns to Run's dispatch, exactly like an image exit.
 //
 // The engine preserves Step-loop semantics bit for bit — campaign
 // results and trace JSONL must not change:
@@ -16,32 +27,20 @@
 //     and resumed instruction consumes budget without retiring),
 //   - Dyn counts retirements only, and is materialized before any trap
 //     is delivered so handlers and trace stamps see the exact count,
-//   - the architectural PC is lazy inside a block but recomputed
-//     exactly (preserving misalignment) for every trap, stop, punt and
-//     image exit — precise PC→kernel mapping is the point of CARE,
-//   - StopPC is compared after every retirement, so mid-block sentinel
+//   - the architectural PC is lazy inside a chain but recomputed
+//     exactly for every trap, stop, punt and image exit — precise
+//     PC→kernel mapping is the point of CARE,
+//   - StopPC is compared after every retirement, so mid-chain sentinel
 //     hits exit on the same dynamic instruction as the Step loop.
 //
-// On top of the per-µop loop (runBlocks, the TierBlock path) sits a
-// third dispatch level (runSuper, the default TierSuperblock path):
-// predecode resolves in-image Jmp/Jnz/Jz/Call targets to µop indices
-// (uop.tidx) so taken branches jump straight to the successor µop, and
-// computes per-index fallthrough-run lengths (blockPlan.runLen) so each
-// straight-line chain retires under ONE budget/Dyn accounting check
-// instead of one per instruction. Because runLen is indexed per µop, a
-// chain entered mid-way — a multi-predecessor leader reached by a
-// linked branch — simply pays its accounting check at the entry point,
-// while single-predecessor leaders reached by fallthrough are fused
-// into the running chain with no check at all. Branch targets that
-// cannot be linked (outside the image, mid-instruction, or landing on
-// a punting µop) are demoted at predecode: the branch materialises the
-// PC and returns to Run's dispatch, exactly like an image exit.
-//
-// Eligibility is re-checked by Run before every engine call: any
-// installed BeforeStep/AfterStep hook (fault arming, taint, checkpoint
-// cadences, snapshot capture) deopts to the per-instruction loop, and a
-// hook installed mid-run by a trap handler takes effect at the next
-// block boundary because traps always return to Run's dispatch loop.
+// The engine hands single instructions to Step where Step's semantics
+// are needed and the engine's would cost: stop points (stop.go) — Run
+// clamps the chain budget one retirement short of a Dyn point, and a
+// chain stops in front of an instruction that carries a static point —
+// punting µops, and misaligned (corrupted) PCs, which only Step can
+// carry exactly until a branch realigns. Retire hooks see every
+// instruction, so while one is installed Run stays on Step; hooks are
+// for research tools and test oracles, never for the campaign path.
 //
 // Loads and stores go through per-µop memory inline caches: each
 // memory-access µop owns one icEntry slot per CPU remembering the last
@@ -137,8 +136,8 @@ const (
 	uFPop
 
 	// Fused superinstructions: two adjacent µops retired by one dispatch.
-	// These opcodes never appear in blockPlan.uops (the per-µop stream the
-	// block tier and the disassembler read) — predecode's fusion pass
+	// These opcodes never appear in blockPlan.uops (the per-µop stream
+	// predecode links and the disassembler reads) — predecode's fusion pass
 	// writes them only into the wide superblock stream (blockPlan.fuops),
 	// picking the pairs that dominate compiled code: the O0 spill/reload
 	// idiom (store+load, load+load and their float forms), address-compute
@@ -223,10 +222,8 @@ type uop struct {
 // overlap-encoded — every index that STARTS a fusible pair carries the
 // fused form, and the second µop's index still holds its plain single
 // form — so a linked branch entering mid-chain (or a chain clamped by
-// budget or StopPC between the two halves) executes the exact same
+// budget or a stop between the two halves) executes the exact same
 // µop sequence, just with one fewer dispatch when the pair is intact.
-// The block tier keeps the compact uop array; only runSuper pays the
-// wider stride.
 type fuop struct {
 	op             uopOp
 	d, a, b, scale uint8
@@ -683,21 +680,6 @@ func (c *CPU) icsFor(img *Image, n int) []icEntry {
 	return e
 }
 
-// icLoad reads an aligned word through an inline cache. The fast path
-// is one generation compare plus one range compare against the cached
-// segment; everything else falls to icLoadSlow.
-func icLoad(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
-	if s := e.seg; s != nil && e.gen == m.gen && len(s.Data) >= 8 {
-		if off := addr - s.Base; off <= Word(len(s.Data)-8) {
-			if addr&7 != 0 {
-				return 0, &Fault{Sig: SigBUS, Addr: addr}
-			}
-			return binary.LittleEndian.Uint64(s.Data[off:]), nil
-		}
-	}
-	return icLoadSlow(m, e, addr)
-}
-
 // icLoadSlow is the miss path: Memory.Read semantics plus a cache
 // refill. Fault priorities match Read exactly (unmapped/short SEGV
 // before misaligned BUS).
@@ -713,22 +695,9 @@ func icLoadSlow(m *Memory, e *icEntry, addr Word) (Word, *Fault) {
 	return binary.LittleEndian.Uint64(s.Data[addr-s.Base:]), nil
 }
 
-// icStore writes an aligned word through an inline cache. Read-only and
-// copy-on-write segments always take the slow path (fault / first-store
-// materialization), matching Memory.Write.
-func icStore(m *Memory, e *icEntry, addr, v Word) *Fault {
-	if s := e.seg; s != nil && e.gen == m.gen && !s.ro && !s.cow && len(s.Data) >= 8 {
-		if off := addr - s.Base; off <= Word(len(s.Data)-8) {
-			if addr&7 != 0 {
-				return &Fault{Sig: SigBUS, Addr: addr}
-			}
-			binary.LittleEndian.PutUint64(s.Data[off:], v)
-			return nil
-		}
-	}
-	return icStoreSlow(m, e, addr, v)
-}
-
+// icStoreSlow is the store miss path: Memory.Write semantics (read-only
+// and copy-on-write segments always land here, for the fault or the
+// first-store materialization) plus a cache refill.
 func icStoreSlow(m *Memory, e *icEntry, addr, v Word) *Fault {
 	s := m.Find(addr)
 	if s == nil || addr+8 > s.End() || s.ro {
@@ -746,12 +715,14 @@ func icStoreSlow(m *Memory, e *icEntry, addr, v Word) *Fault {
 }
 
 // setCur switches the CPU's current-image cache, dropping the per-image
-// derived caches (µop plan, inline-cache slots, profile counts slice).
+// derived caches (µop plan, inline-cache slots, profile counts slice,
+// static stop indices).
 func (c *CPU) setCur(img *Image) {
 	c.cur = img
 	c.curPlan = nil
 	c.curICs = nil
 	c.curCounts = nil
+	c.curBrksOK = false
 }
 
 // countsFor returns (allocating if needed) the profile-counts slice of
@@ -769,12 +740,18 @@ func (c *CPU) countsFor(img *Image) []uint64 {
 	return cnts
 }
 
+// retire settles n engine retirements into Dyn and the tier counter.
+func (c *CPU) retire(n uint64) {
+	c.Dyn += n
+	c.Counters.SuperRetired += n
+}
+
 // blockTrap materializes the lazy architectural state and delivers a
-// trap from the block engine, mirroring the Trap a Step at pc would
-// have raised.
+// trap from the engine, mirroring the Trap a Step at pc would have
+// raised.
 func (c *CPU) blockTrap(pc Word, done uint64, img *Image, idx int, sig Signal, addr Word) {
 	c.PC = pc
-	c.Dyn += done
+	c.retire(done)
 	c.trap(&Trap{Sig: sig, PC: pc, Addr: addr, Img: img, Idx: idx, Instr: &img.Prog.Code[idx]})
 }
 
@@ -784,312 +761,17 @@ func (c *CPU) stopExit(pc Word, done uint64) {
 	c.Status = StatusExited
 	c.ExitCode = c.R[R0]
 	c.PC = pc
-	c.Dyn += done
+	c.retire(done)
 }
 
-// runBlocks executes predecoded code starting at c.PC, following taken
-// branches for as long as control stays inside the current image, until
-// the status changes, a trap is delivered, the budget is consumed, the
-// PC leaves the image, or a uPunt µop needs the legacy path. It returns
-// the budget consumed (one per attempted instruction, exactly like the
-// Step loop charges) and whether the instruction now at c.PC must be
-// executed by Step.
-//
-// Callers guarantee budget > 0 and that no step hooks are installed.
-func (c *CPU) runBlocks(budget uint64) (uint64, bool) {
-	img := c.cur
-	if img == nil || !img.Contains(c.PC) {
-		img = c.FindImage(c.PC)
-		if img == nil {
-			c.trap(&Trap{Sig: SigILL, PC: c.PC})
-			return 1, false
-		}
-		c.setCur(img)
-	}
-	plan := c.curPlan
-	if plan == nil {
-		plan = img.Prog.plan()
-		c.curPlan = plan
-	}
-	ics := c.curICs
-	if ics == nil && plan.nIC > 0 {
-		ics = c.icsFor(img, plan.nIC)
-		c.curICs = ics
-	}
-	var cnts []uint64
-	if c.Profile {
-		cnts = c.curCounts
-		if cnts == nil {
-			cnts = c.countsFor(img)
-			c.curCounts = cnts
+// hasBrk reports whether µop idx carries a static stop point.
+func hasBrk(brks []int32, idx int) bool {
+	for _, b := range brks {
+		if int(b) == idx {
+			return true
 		}
 	}
-	m := c.Mem
-	uops := plan.uops
-	sIC := &c.stackIC
-	base := img.Base()
-	pc := c.PC
-	stop, stopSet := c.StopPC, c.StopPCSet
-	var done uint64
-
-	for {
-		if done >= budget {
-			break
-		}
-		idx := int((pc - base) >> 3)
-		if uint(idx) >= uint(len(uops)) {
-			break // control left the image; Run re-resolves (or traps)
-		}
-		u := &uops[idx]
-		switch u.op {
-		case uPunt:
-			c.PC = pc
-			c.Dyn += done
-			return done, true
-		case uNop:
-		case uMovImm:
-			c.R[u.d&15] = Word(u.imm)
-		case uMov:
-			c.R[u.d&15] = c.R[u.a&15]
-		case uAddRR:
-			c.R[u.d&15] = c.R[u.a&15] + c.R[u.b&15]
-		case uAddRI:
-			c.R[u.d&15] = c.R[u.a&15] + Word(u.imm)
-		case uSubRR:
-			c.R[u.d&15] = c.R[u.a&15] - c.R[u.b&15]
-		case uSubRI:
-			c.R[u.d&15] = c.R[u.a&15] - Word(u.imm)
-		case uMulRR:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) * int64(c.R[u.b&15]))
-		case uMulRI:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) * u.imm)
-		case uDivRR, uDivRI, uRemRR, uRemRI:
-			d := u.imm
-			if u.op == uDivRR || u.op == uRemRR {
-				d = int64(c.R[u.b&15])
-			}
-			n := int64(c.R[u.a&15])
-			if d == 0 || (n == math.MinInt64 && d == -1) {
-				c.blockTrap(pc, done, img, idx, SigFPE, 0)
-				return done + 1, false
-			}
-			if u.op == uDivRR || u.op == uDivRI {
-				c.R[u.d&15] = Word(n / d)
-			} else {
-				c.R[u.d&15] = Word(n % d)
-			}
-		case uAndRR:
-			c.R[u.d&15] = c.R[u.a&15] & c.R[u.b&15]
-		case uAndRI:
-			c.R[u.d&15] = c.R[u.a&15] & Word(u.imm)
-		case uOrRR:
-			c.R[u.d&15] = c.R[u.a&15] | c.R[u.b&15]
-		case uOrRI:
-			c.R[u.d&15] = c.R[u.a&15] | Word(u.imm)
-		case uXorRR:
-			c.R[u.d&15] = c.R[u.a&15] ^ c.R[u.b&15]
-		case uXorRI:
-			c.R[u.d&15] = c.R[u.a&15] ^ Word(u.imm)
-		case uShlRR:
-			c.R[u.d&15] = c.R[u.a&15] << (c.R[u.b&15] & 63)
-		case uShlRI:
-			c.R[u.d&15] = c.R[u.a&15] << (Word(u.imm) & 63)
-		case uShrRR:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) >> (c.R[u.b&15] & 63))
-		case uShrRI:
-			c.R[u.d&15] = Word(int64(c.R[u.a&15]) >> (Word(u.imm) & 63))
-		case uFMovImm:
-			c.F[u.d&15] = math.Float64frombits(Word(u.imm))
-		case uFMov:
-			c.F[u.d&15] = c.F[u.a&15]
-		case uFAdd:
-			c.F[u.d&15] = c.F[u.a&15] + c.F[u.b&15]
-		case uFSub:
-			c.F[u.d&15] = c.F[u.a&15] - c.F[u.b&15]
-		case uFMul:
-			c.F[u.d&15] = c.F[u.a&15] * c.F[u.b&15]
-		case uFDiv:
-			c.F[u.d&15] = c.F[u.a&15] / c.F[u.b&15]
-		case uCvtIF:
-			c.F[u.d&15] = float64(int64(c.R[u.a&15]))
-		case uCvtFI:
-			c.R[u.d&15] = Word(int64(c.F[u.a&15]))
-		case uBitIF:
-			c.F[u.d&15] = math.Float64frombits(c.R[u.a&15])
-		case uBitFI:
-			c.R[u.d&15] = math.Float64bits(c.F[u.a&15])
-		case uSetRR:
-			c.R[u.d&15] = boolWord(cmpInt(u.cond, int64(c.R[u.a&15]), int64(c.R[u.b&15])))
-		case uSetRI:
-			c.R[u.d&15] = boolWord(cmpInt(u.cond, int64(c.R[u.a&15]), u.imm))
-		case uFSet:
-			c.R[u.d&15] = boolWord(cmpFloat(u.cond, c.F[u.a&15], c.F[u.b&15]))
-		case uLea:
-			c.R[u.d&15] = c.R[u.a&15] + Word(u.imm)
-		case uLeaX:
-			c.R[u.d&15] = c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-		case uJmp:
-			done++
-			if cnts != nil {
-				cnts[idx]++
-			}
-			pc = u.target
-			if stopSet && pc == stop {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			continue
-		case uJnz, uJz:
-			if (c.R[u.a&15] != 0) == (u.op == uJnz) {
-				done++
-				if cnts != nil {
-					cnts[idx]++
-				}
-				pc = u.target
-				if stopSet && pc == stop {
-					c.stopExit(pc, done)
-					return done, false
-				}
-				continue
-			}
-		case uLoad:
-			addr := c.R[u.a&15] + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[u.d&15] = v
-		case uLoadX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[u.d&15] = v
-		case uFLoad:
-			addr := c.R[u.a&15] + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.F[u.d&15] = math.Float64frombits(v)
-		case uFLoadX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			v, flt := icLoad(m, &ics[u.ic], addr)
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.F[u.d&15] = math.Float64frombits(v)
-		case uStore:
-			addr := c.R[u.a&15] + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, c.R[u.d&15]); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uStoreX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, c.R[u.d&15]); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uFStore:
-			addr := c.R[u.a&15] + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, math.Float64bits(c.F[u.d&15])); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uFStoreX:
-			addr := c.R[u.a&15] + c.R[u.b&15]*Word(u.scale) + Word(u.imm)
-			if flt := icStore(m, &ics[u.ic], addr, math.Float64bits(c.F[u.d&15])); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-		case uCall:
-			// The stack write commits SP only on success, so a faulting
-			// call leaves SP exactly where the Step loop's restore does.
-			sp := c.R[SP] - 8
-			if flt := icStore(m, sIC, sp, pc+8); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] = sp
-			done++
-			if cnts != nil {
-				cnts[idx]++
-			}
-			pc = u.target
-			if stopSet && pc == stop {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			continue
-		case uRet:
-			ra, flt := icLoad(m, sIC, c.R[SP])
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] += 8
-			done++
-			if cnts != nil {
-				cnts[idx]++
-			}
-			pc = ra
-			if stopSet && pc == stop {
-				c.stopExit(pc, done)
-				return done, false
-			}
-			continue
-		case uPush:
-			sp := c.R[SP] - 8
-			if flt := icStore(m, sIC, sp, c.R[u.d&15]); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] = sp
-		case uPop:
-			v, flt := icLoad(m, sIC, c.R[SP])
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] += 8
-			c.R[u.d&15] = v
-		case uFPush:
-			sp := c.R[SP] - 8
-			if flt := icStore(m, sIC, sp, math.Float64bits(c.F[u.d&15])); flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] = sp
-		case uFPop:
-			v, flt := icLoad(m, sIC, c.R[SP])
-			if flt != nil {
-				c.blockTrap(pc, done, img, idx, flt.Sig, flt.Addr)
-				return done + 1, false
-			}
-			c.R[SP] += 8
-			c.F[u.d&15] = math.Float64frombits(v)
-		}
-
-		// Fallthrough retirement.
-		done++
-		if cnts != nil {
-			cnts[idx]++
-		}
-		pc += 8
-		if stopSet && pc == stop {
-			c.stopExit(pc, done)
-			return done, false
-		}
-	}
-	c.PC = pc
-	c.Dyn += done
-	return done, false
+	return false
 }
 
 // superTrap delivers a trap from µop entry+i of a fused chain: the i
@@ -1104,28 +786,29 @@ func (c *CPU) superTrap(base Word, entry, i int, done uint64, img *Image, sig Si
 	c.blockTrap(base+Word(8*(entry+i)), done+uint64(i), img, entry+i, sig, addr)
 }
 
-// runSuper executes predecoded code starting at c.PC on the superblock
-// tier: each straight-line fallthrough chain retires under a single
-// budget/Dyn accounting check (clamped at the remaining budget and the
-// stop sentinel up front, so the chain body pays no per-µop budget, PC
-// or StopPC bookkeeping), branches linked at predecode jump straight
-// to the successor µop index without re-entering the dispatch
-// prologue, and the chain body runs from the pair-fused wide stream
-// (blockPlan.fuops), so the hottest adjacent µop pairs retire under
-// one dispatch. Memory accesses take the manually-inlined icTry/icPut
-// hit paths against a generation hoisted for the whole invocation.
-// Semantics are bit-identical to runBlocks and the Step loop: traps
-// materialise the exact PC and Dyn mid-chain, StopPC exits on the same
-// retirement, the budget is charged per attempted instruction, and
-// demoted branches return to Run's dispatch with the exact target PC.
-// A pair whose second half falls past the chain clamp (budget or stop
-// sentinel between the two halves) executes its first half alone — the
-// overlap encoding keeps every µop boundary addressable.
+// runSuper executes predecoded code starting at c.PC: each
+// straight-line fallthrough chain retires under a single budget/Dyn
+// accounting check (clamped at the remaining budget, the StopPC
+// sentinel and any static stop point up front, so the chain body pays
+// no per-µop budget, PC or stop bookkeeping), branches linked at
+// predecode jump straight to the successor µop index without
+// re-entering the dispatch prologue, and the chain body runs from the
+// pair-fused wide stream (blockPlan.fuops), so the hottest adjacent µop
+// pairs retire under one dispatch. Memory accesses take the
+// manually-inlined inline-cache hit paths against a generation hoisted
+// for the whole invocation. Semantics are bit-identical to the Step
+// loop: traps materialise the exact PC and Dyn mid-chain, StopPC exits
+// on the same retirement, the budget is charged per attempted
+// instruction, and demoted branches return to Run's dispatch with the
+// exact target PC. A pair whose second half falls past the chain clamp
+// (budget or stop between the two halves) executes its first half
+// alone — the overlap encoding keeps every µop boundary addressable.
 //
-// A misaligned (corrupted) PC delegates to runBlocks: chain execution
-// tracks µop indices and cannot carry the sub-instruction bias a
-// lazily-materialised trap PC must preserve, while the per-µop loop
-// round-trips it exactly.
+// runSuper returns the budget consumed and whether the instruction now
+// at c.PC must be retired by Step: a punting µop, an instruction that
+// carries a static stop point, or a misaligned (corrupted) PC — chain
+// execution tracks µop indices and cannot carry the sub-instruction
+// bias a trap PC must preserve, so Step runs until a branch realigns.
 //
 // Callers guarantee budget > 0 and that no step hooks are installed.
 func (c *CPU) runSuper(budget uint64) (uint64, bool) {
@@ -1140,7 +823,8 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 	}
 	base := img.Base()
 	if (c.PC-base)&7 != 0 {
-		return c.runBlocks(budget)
+		c.Counters.Misaligned++
+		return 0, true
 	}
 	plan := c.curPlan
 	if plan == nil {
@@ -1151,6 +835,10 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 	if ics == nil && plan.nIC > 0 {
 		ics = c.icsFor(img, plan.nIC)
 		c.curICs = ics
+	}
+	var brks []int32
+	if len(c.stops) > 0 {
+		brks = c.brksFor(img)
 	}
 	var cnts []uint64
 	if c.Profile {
@@ -1188,11 +876,19 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				return done, false
 			}
 			c.PC = pc
-			c.Dyn += done
+			c.retire(done)
 			return done, false
 		}
 		if done >= budget {
 			break
+		}
+		if len(brks) > 0 && hasBrk(brks, idx) {
+			// A static stop point: Step retires this instruction and
+			// runs the point's callback.
+			c.PC = base + Word(8*idx)
+			c.retire(done)
+			c.Counters.StaticStops++
+			return done, true
 		}
 		if n := int(runs[idx]); n > 0 {
 			if rem := budget - done; uint64(n) > rem {
@@ -1200,6 +896,11 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			}
 			if stopIdx > idx && stopIdx < idx+n {
 				n = stopIdx - idx
+			}
+			for _, b := range brks {
+				if bi := int(b); bi > idx && bi < idx+n {
+					n = bi - idx
+				}
 			}
 			entry := idx
 			chain := fuops[entry : entry+n]
@@ -1904,8 +1605,9 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 			// terminating branch/call/punt — runLen has no cap), so fall
 			// straight into the control switch instead of paying another
 			// outer-loop dispatch round; the clamped cases (budget, end of
-			// image) still take the loop prologue.
-			if done < budget && uint(idx) < uint(len(fuops)) {
+			// image) and CPUs with static stop points still take the loop
+			// prologue.
+			if done < budget && uint(idx) < uint(len(fuops)) && len(brks) == 0 {
 				goto control
 			}
 			continue
@@ -1917,7 +1619,8 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 		switch u.op {
 		case uPunt:
 			c.PC = base + Word(8*idx)
-			c.Dyn += done
+			c.retire(done)
+			c.Counters.HostPunts++
 			return done, true
 		case uJmp:
 			done++
@@ -1940,7 +1643,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				return done, false
 			}
 			c.PC = pc
-			c.Dyn += done
+			c.retire(done)
 			return done, false
 		case uJnz, uJz:
 			done++
@@ -1970,7 +1673,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				return done, false
 			}
 			c.PC = pc
-			c.Dyn += done
+			c.retire(done)
 			return done, false
 		case uCall:
 			// The stack write commits SP only on success, so a faulting
@@ -2001,7 +1704,7 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				return done, false
 			}
 			c.PC = pc
-			c.Dyn += done
+			c.retire(done)
 			return done, false
 		case uRet:
 			var ra Word
@@ -2037,11 +1740,11 @@ func (c *CPU) runSuper(budget uint64) (uint64, bool) {
 				return done, false
 			}
 			c.PC = ra
-			c.Dyn += done
+			c.retire(done)
 			return done, false
 		}
 	}
 	c.PC = base + Word(8*idx)
-	c.Dyn += done
+	c.retire(done)
 	return done, false
 }

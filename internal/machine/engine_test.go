@@ -9,14 +9,59 @@ import (
 	"care/internal/trace"
 )
 
-// fastTiers are the engine tiers the differential tests check against
-// the Step-loop reference.
-var fastTiers = []InterpTier{TierSuperblock, TierBlock}
+// engineArm is one configuration of the superblock engine that the
+// differential tests check against the Step-loop reference.
+type engineArm struct {
+	name string
+	prep func(c *CPU)
+}
+
+func (a engineArm) String() string { return a.name }
+
+// fastTiers are the engine configurations under differential test: the
+// engine as campaigns run it, and the same engine with a no-op static
+// stop point on every basic-block leader ("block"), so each block's
+// first instruction retires on Step and every chain is clamped at a
+// block boundary — the stop-point paths on every control-flow shape the
+// sweeps build.
+var fastTiers = []engineArm{{"superblock", nil}, {"block", stopAtLeaders}}
+
+// stopAtLeaders registers a no-op static stop point on every basic-block
+// leader of every attached image: the entry, each in-image aligned
+// branch target, and each instruction after a control transfer or a
+// host call.
+func stopAtLeaders(c *CPU) {
+	for _, img := range c.Images {
+		code := img.Prog.Code
+		leader := make([]bool, len(code))
+		if len(code) > 0 {
+			leader[0] = true
+		}
+		for i, in := range code {
+			switch in.Op {
+			case MJmp, MJnz, MJz, MCall:
+				if off := in.Target - img.Prog.CodeBase; off&7 == 0 && off>>3 < Word(len(code)) {
+					leader[off>>3] = true
+				}
+				fallthrough
+			case MRet, MHost, MAbort, MHalt:
+				if i+1 < len(code) {
+					leader[i+1] = true
+				}
+			}
+		}
+		for i, l := range leader {
+			if l {
+				c.StopAfterInstr(img.Prog.Name, i, func(*CPU, *Image, int, *MInstr) {})
+			}
+		}
+	}
+}
 
 // dualAsm assembles the same raw program twice: one CPU on the given
-// engine tier, one forced onto the legacy Step loop. Separate Programs
-// (and memories) keep the two runs fully independent.
-func dualAsm(t *testing.T, code []MInstr, setup func(c *CPU), tier InterpTier) (fast, step *CPU) {
+// engine configuration, one forced onto the Step loop. Separate
+// Programs (and memories) keep the two runs fully independent.
+func dualAsm(t *testing.T, code []MInstr, setup func(c *CPU), arm engineArm) (fast, step *CPU) {
 	t.Helper()
 	mk := func() *CPU {
 		p := &Program{
@@ -45,7 +90,9 @@ func dualAsm(t *testing.T, code []MInstr, setup func(c *CPU), tier InterpTier) (
 		return cpu
 	}
 	fast = mk()
-	fast.Tier = tier
+	if arm.prep != nil {
+		arm.prep(fast)
+	}
 	step = mk()
 	step.Tier = TierStep
 	return fast, step
@@ -54,36 +101,36 @@ func dualAsm(t *testing.T, code []MInstr, setup func(c *CPU), tier InterpTier) (
 // compareCPUs asserts the full architectural state of the two runs is
 // identical: registers, PC, Dyn, status, exit code, pending trap, and
 // every writable memory segment.
-func compareCPUs(t *testing.T, block, step *CPU) {
+func compareCPUs(t *testing.T, fast, step *CPU) {
 	t.Helper()
-	if block.R != step.R {
-		t.Errorf("R mismatch:\n block %v\n step  %v", block.R, step.R)
+	if fast.R != step.R {
+		t.Errorf("R mismatch:\n fast %v\n step  %v", fast.R, step.R)
 	}
-	if block.F != step.F {
-		t.Errorf("F mismatch:\n block %v\n step  %v", block.F, step.F)
+	if fast.F != step.F {
+		t.Errorf("F mismatch:\n fast %v\n step  %v", fast.F, step.F)
 	}
-	if block.PC != step.PC {
-		t.Errorf("PC mismatch: block 0x%x step 0x%x", block.PC, step.PC)
+	if fast.PC != step.PC {
+		t.Errorf("PC mismatch: fast 0x%x step 0x%x", fast.PC, step.PC)
 	}
-	if block.Dyn != step.Dyn {
-		t.Errorf("Dyn mismatch: block %d step %d", block.Dyn, step.Dyn)
+	if fast.Dyn != step.Dyn {
+		t.Errorf("Dyn mismatch: fast %d step %d", fast.Dyn, step.Dyn)
 	}
-	if block.Status != step.Status {
-		t.Errorf("status mismatch: block %v step %v", block.Status, step.Status)
+	if fast.Status != step.Status {
+		t.Errorf("status mismatch: fast %v step %v", fast.Status, step.Status)
 	}
-	if block.ExitCode != step.ExitCode {
-		t.Errorf("exit code mismatch: block %d step %d", block.ExitCode, step.ExitCode)
+	if fast.ExitCode != step.ExitCode {
+		t.Errorf("exit code mismatch: fast %d step %d", fast.ExitCode, step.ExitCode)
 	}
-	bt, st := block.PendingTrap, step.PendingTrap
+	bt, st := fast.PendingTrap, step.PendingTrap
 	if (bt == nil) != (st == nil) {
-		t.Fatalf("trap mismatch: block %v step %v", bt, st)
+		t.Fatalf("trap mismatch: fast %v step %v", bt, st)
 	}
 	if bt != nil && (bt.Sig != st.Sig || bt.PC != st.PC || bt.Addr != st.Addr || bt.Idx != st.Idx) {
-		t.Errorf("trap mismatch:\n block %+v\n step  %+v", bt, st)
+		t.Errorf("trap mismatch:\n fast %+v\n step  %+v", bt, st)
 	}
-	bs, ss := block.Mem.Segments(), step.Mem.Segments()
+	bs, ss := fast.Mem.Segments(), step.Mem.Segments()
 	if len(bs) != len(ss) {
-		t.Fatalf("segment count mismatch: block %d step %d", len(bs), len(ss))
+		t.Fatalf("segment count mismatch: fast %d step %d", len(bs), len(ss))
 	}
 	for i := range bs {
 		if bs[i].Base != ss[i].Base || len(bs[i].Data) != len(ss[i].Data) {
@@ -94,7 +141,7 @@ func compareCPUs(t *testing.T, block, step *CPU) {
 		}
 		for j := range bs[i].Data {
 			if bs[i].Data[j] != ss[i].Data[j] {
-				t.Errorf("segment %s byte 0x%x differs: block %#x step %#x",
+				t.Errorf("segment %s byte 0x%x differs: fast %#x step %#x",
 					bs[i].Name, bs[i].Base+Word(j), bs[i].Data[j], ss[i].Data[j])
 				break
 			}
@@ -113,6 +160,9 @@ func runDual(t *testing.T, code []MInstr, setup func(c *CPU), limit uint64) {
 				t.Errorf("run status: %v %v step %v", tier, got, want)
 			}
 			compareCPUs(t, fast, step)
+			if tier.prep != nil && fast.Counters.StaticStops == 0 {
+				t.Error("no chain stopped at a static stop point; the arm is vacuous")
+			}
 		})
 	}
 }
@@ -271,7 +321,7 @@ func TestEngineMisalignedTrapPC(t *testing.T) {
 }
 
 // TestEngineStopPCMidBlock plants the stop sentinel on a branch target
-// in the middle of the hot loop: the block engine must exit on the same
+// in the middle of the hot loop: the engine must exit on the same
 // retirement as the Step loop, not at the next block boundary.
 func TestEngineStopPCMidBlock(t *testing.T) {
 	for _, stopIdx := range []int{3, 10, 15} {
@@ -288,7 +338,7 @@ func TestEngineStopPCMidBlock(t *testing.T) {
 
 // TestEngineDeoptOnHookInstall installs a retire hook from a trap
 // handler mid-run: the engine must fall back to the Step loop at the
-// block boundary so the hook sees every subsequent retirement.
+// next dispatch so the hook sees every subsequent retirement.
 func TestEngineDeoptOnHookInstall(t *testing.T) {
 	code := []MInstr{
 		{Op: MMovImm, Rd: R1, Imm: 5},
@@ -298,7 +348,7 @@ func TestEngineDeoptOnHookInstall(t *testing.T) {
 		{Op: MAdd, Rd: R4, Ra: R4, UseImm: true, Imm: 1},
 		{Op: MHalt, Ra: R4},
 	}
-	run := func(tier InterpTier) (hookRetires int, c *CPU) {
+	run := func(tier InterpTier, arm engineArm) (hookRetires int, c *CPU) {
 		p := &Program{Name: "asm", CodeBase: AppCodeBase, Code: code,
 			Funcs: []FuncSym{{Name: "_start", Entry: 0}}, Debug: debuginfo.New()}
 		mem := NewMemory()
@@ -315,6 +365,9 @@ func TestEngineDeoptOnHookInstall(t *testing.T) {
 		if err := c.Start(img, "_start"); err != nil {
 			t.Fatal(err)
 		}
+		if arm.prep != nil {
+			arm.prep(c)
+		}
 		c.Handler = func(cc *CPU, tr *Trap) TrapAction {
 			cc.R[R2] = 1 // patch the divisor and resume
 			cc.AddAfterStep(func(*CPU, *Image, int, *MInstr) { hookRetires++ })
@@ -323,9 +376,9 @@ func TestEngineDeoptOnHookInstall(t *testing.T) {
 		c.Run(0)
 		return hookRetires, c
 	}
-	gotStep, cs := run(TierStep)
+	gotStep, cs := run(TierStep, engineArm{})
 	for _, tier := range fastTiers {
-		gotFast, cf := run(tier)
+		gotFast, cf := run(TierSuperblock, tier)
 		if gotFast != gotStep {
 			t.Errorf("hook retirements differ: %v %d step %d", tier, gotFast, gotStep)
 		}
@@ -337,7 +390,7 @@ func TestEngineDeoptOnHookInstall(t *testing.T) {
 }
 
 // TestEngineRemoveHookReopts checks that removing the last retire hook
-// returns Run to the block engine (afterLive bookkeeping), and that
+// returns Run to the superblock engine (afterLive bookkeeping), and that
 // removing one twice does not corrupt the count.
 func TestEngineRemoveHookReopts(t *testing.T) {
 	c, _ := asm(t, loopProgram(50))
@@ -396,7 +449,8 @@ func TestEngineTraceSpansMatch(t *testing.T) {
 	tiers := Tiers()
 	recs := make([]*trace.Recorder, len(tiers))
 	for i, tier := range tiers {
-		c, _ := dualAsm(t, code, nil, tier)
+		c, _ := dualAsm(t, code, nil, engineArm{})
+		c.Tier = tier
 		recs[i] = trace.New(8)
 		c.Trace = recs[i]
 		c.Run(0)
@@ -584,16 +638,19 @@ func TestEngineBudgetChargesTrapAttempts(t *testing.T) {
 		{Op: MHalt},
 	}
 	for limit := uint64(3); limit <= 8; limit++ {
-		mk := func(tier InterpTier) *CPU {
+		mk := func(tier InterpTier, arm engineArm) *CPU {
 			c, _ := asm(t, code)
 			c.Tier = tier
+			if arm.prep != nil {
+				arm.prep(c)
+			}
 			c.Handler = func(*CPU, *Trap) TrapAction { return TrapResume }
 			return c
 		}
-		s := mk(TierStep)
+		s := mk(TierStep, engineArm{})
 		want := s.Run(limit)
 		for _, tier := range fastTiers {
-			f := mk(tier)
+			f := mk(TierSuperblock, tier)
 			if got := f.Run(limit); got != want {
 				t.Fatalf("limit %d: %v %v step %v", limit, tier, got, want)
 			}

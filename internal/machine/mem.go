@@ -8,6 +8,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -44,6 +45,13 @@ const (
 	ScratchStackTop Word = 0x0000_7fff_0000_0000
 	// ScratchStackSize is the scratch stack size in bytes.
 	ScratchStackSize = 64 << 10
+	// HeapLimit is the simulated heap's ceiling: the span from HeapBase
+	// that allocations (guards and page alignment included) may reach.
+	// The largest heap of any workload at study parameters is 86 KB
+	// (miniFE at 5x5x4), so the ceiling leaves several hundred times
+	// that as headroom while keeping a fault-corrupted malloc size from
+	// asking the host for gigabytes.
+	HeapLimit Word = 64 << 20
 	// HeapGuard is the unmapped gap left between heap allocations so
 	// that modest address corruptions fall off the mapped space, as
 	// they do between real mmap'd regions.
@@ -308,10 +316,16 @@ func (m *Memory) WriteFloat(addr Word, v float64) *Fault {
 }
 
 // Alloc implements the heap: a bump allocator leaving HeapGuard-byte
-// unmapped gaps between allocations.
+// unmapped gaps between allocations. A request that would take the
+// heap past HeapLimit returns 0 — NULL, as malloc does on ENOMEM —
+// without mapping anything, so the outcome is the same on every tier
+// and a corrupted size cannot exhaust the host.
 func (m *Memory) Alloc(n Word) (Word, error) {
 	if n == 0 {
 		n = 8
+	}
+	if n > HeapLimit || m.heapNext-HeapBase > HeapLimit-n {
+		return 0, nil
 	}
 	n = (n + 7) &^ 7
 	base := m.heapNext
@@ -359,21 +373,106 @@ type Snapshot struct {
 type SegSnapshot struct {
 	Base Word
 	Name string
+	// Data is the segment's bytes — or, when Size exceeds len(Data), a
+	// compacted image's tail: the segment is Size bytes long and the
+	// Size-len(Data) bytes in front of Data are zero.
 	Data []byte
+	// Size is the length of a compacted image's segment; 0 (or
+	// len(Data)) means Data is the whole image.
+	Size int
 	// Domain carries the segment's isolation domain, so the checkpoint
 	// layer can build per-domain views of a full snapshot without
 	// re-deriving the classification.
 	Domain DomainID
 }
 
-// Snapshot captures the writable memory image by freezing it instead of
-// copying it: every writable segment is flipped to copy-on-write and the
-// snapshot aliases its bytes, so the capture is O(segments) and the data
-// is copied only when (and if) the live memory stores to it again.
-// Read-only code segments are excluded — they are immutable and shared
-// by construction, exactly as ordinary checkpointing skips .text.
-// Snapshots are therefore safe to Restore into many concurrent
-// processes: all of them share the frozen bytes until they diverge.
+// Len returns the length of the segment the image restores.
+func (ss *SegSnapshot) Len() int {
+	if ss.Size > len(ss.Data) {
+		return ss.Size
+	}
+	return len(ss.Data)
+}
+
+// Image returns the whole segment image. A compacted image is expanded
+// into a fresh buffer; a whole one is returned as is (aliased).
+func (ss *SegSnapshot) Image() []byte {
+	if ss.Size <= len(ss.Data) {
+		return ss.Data
+	}
+	d := make([]byte, ss.Size)
+	copy(d[ss.Size-len(ss.Data):], ss.Data)
+	return d
+}
+
+// restoreInto returns the bytes a segment restored from the image
+// holds, and whether they alias the (frozen) image copy-on-write. A
+// whole image is aliased. A compacted one is expanded into a private
+// buffer: into live, when the caller passes the private bytes of the
+// segment being restored over (same length), so a rollback allocates
+// nothing; otherwise into a fresh one.
+func (ss *SegSnapshot) restoreInto(live []byte) (data []byte, cow bool) {
+	if ss.Size <= len(ss.Data) {
+		return ss.Data, true
+	}
+	start := ss.Size - len(ss.Data)
+	if len(live) == ss.Size {
+		clear(live[:start])
+	} else {
+		live = make([]byte, ss.Size)
+	}
+	copy(live[start:], ss.Data)
+	return live, false
+}
+
+// private returns the segment's bytes when they are privately owned
+// (neither read-only nor aliasing frozen data), else nil.
+func (s *Segment) private() []byte {
+	if s == nil || s.ro || s.cow {
+		return nil
+	}
+	return s.Data
+}
+
+// zeroPage is the comparison block compactImage scans stacks with.
+var zeroPage [4096]byte
+
+// capture returns the segment's image for a snapshot. Most segments are
+// frozen: flipped copy-on-write and aliased, so the capture copies
+// nothing and the live memory copies the whole segment at its next
+// store. The main stack is the exception while it is privately owned:
+// it is large (DefaultStackSize), written right after every capture,
+// and mostly untouched zeros below its deepest frame, so the image
+// copies only the part above its zero prefix (in 4 KiB steps) and the
+// live stack stays private and writable.
+func (s *Segment) capture() SegSnapshot {
+	ss := SegSnapshot{Base: s.Base, Name: s.Name, Domain: s.Domain}
+	if s.Domain != DomainStack || s.cow {
+		s.cow = true
+		ss.Data = s.Data
+		return ss
+	}
+	z := 0
+	for z+len(zeroPage) <= len(s.Data) && bytes.Equal(s.Data[z:z+len(zeroPage)], zeroPage[:]) {
+		z += len(zeroPage)
+	}
+	ss.Data = make([]byte, len(s.Data)-z)
+	copy(ss.Data, s.Data[z:])
+	ss.Size = len(s.Data)
+	return ss
+}
+
+// Snapshot captures the writable memory image, mostly by freezing it
+// instead of copying it: writable segments are flipped to copy-on-write
+// and the snapshot aliases their bytes, so their data is copied only
+// when (and if) the live memory stores to them again. The privately
+// owned main stack is copied instead, compacted to the part above its
+// zero prefix (see Segment.capture), so a capture costs O(segments)
+// plus the used stack. Read-only code segments are excluded — they are
+// immutable and shared by construction, exactly as ordinary
+// checkpointing skips .text. Snapshots are safe to Restore into many
+// concurrent processes: frozen bytes are shared until each diverges,
+// and a compacted stack is expanded privately per restore.
 func (m *Memory) Snapshot() *Snapshot {
 	sn := &Snapshot{HeapNext: m.heapNext}
 	// Freezing flips segments from writable to copy-on-write, which
@@ -384,21 +483,34 @@ func (m *Memory) Snapshot() *Snapshot {
 	// generation stays sound.
 	m.gen++
 	for _, s := range m.segs {
-		if s.ro {
-			continue
+		if !s.ro {
+			sn.Segs = append(sn.Segs, s.capture())
 		}
-		s.cow = true
-		sn.Segs = append(sn.Segs, SegSnapshot{Base: s.Base, Name: s.Name, Data: s.Data, Domain: s.Domain})
 	}
 	return sn
 }
 
 // Restore replaces the writable memory contents with the snapshot's.
 // Read-only code segments are kept in place (code is immutable and not
-// part of a snapshot); every restored segment aliases the snapshot's
-// frozen bytes copy-on-write, so restoring into N processes shares one
-// backing array until each process stores to it.
+// part of a snapshot); a restored segment aliases the snapshot's frozen
+// bytes copy-on-write, so restoring into N processes shares one backing
+// array until each process stores to it — except a compacted stack
+// image, which is expanded into a private buffer (the live stack's own,
+// when it is private).
 func (m *Memory) Restore(sn *Snapshot) {
+	// Compacted images expand into the private bytes of the segment
+	// they replace, found before the segment list is rebuilt.
+	var live [][]byte
+	for i := range sn.Segs {
+		if ss := &sn.Segs[i]; ss.Size > len(ss.Data) {
+			if live == nil {
+				live = make([][]byte, len(sn.Segs))
+			}
+			if s := m.Find(ss.Base); s != nil && s.Base == ss.Base {
+				live[i] = s.private()
+			}
+		}
+	}
 	kept := m.segs[:0]
 	for _, s := range m.segs {
 		if s.ro {
@@ -409,11 +521,18 @@ func (m *Memory) Restore(sn *Snapshot) {
 	m.cache = nil
 	m.gen++
 	m.heapNext = sn.HeapNext
-	for _, s := range sn.Segs {
+	for i, s := range sn.Segs {
 		// Re-derive the tag rather than trusting the snapshot: domains
 		// are a pure function of the fixed layout, and hand-built
 		// snapshots (tests, decoders) may not have filled the field.
-		m.segs = append(m.segs, &Segment{Base: s.Base, Name: s.Name, Data: s.Data, Domain: ClassifyDomain(s.Base), cow: true})
+		var data []byte
+		var cow bool
+		if live != nil {
+			data, cow = s.restoreInto(live[i])
+		} else {
+			data, cow = s.restoreInto(nil)
+		}
+		m.segs = append(m.segs, &Segment{Base: s.Base, Name: s.Name, Data: data, Domain: ClassifyDomain(s.Base), cow: cow})
 	}
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 }
@@ -422,8 +541,8 @@ func (m *Memory) Restore(sn *Snapshot) {
 // model).
 func (sn *Snapshot) Bytes() int {
 	n := 16
-	for _, s := range sn.Segs {
-		n += 16 + len(s.Name) + len(s.Data)
+	for i := range sn.Segs {
+		n += 16 + len(sn.Segs[i].Name) + sn.Segs[i].Len()
 	}
 	return n
 }

@@ -198,3 +198,28 @@ func TestFindCacheCoherent(t *testing.T) {
 		t.Fatal("stale cache after unmap")
 	}
 }
+
+// TestAllocCeiling: requests that would take the heap past HeapLimit
+// return NULL without mapping anything, whatever size a corrupted
+// argument asks for; requests under the ceiling still succeed.
+func TestAllocCeiling(t *testing.T) {
+	m := NewMemory()
+	for _, n := range []Word{HeapLimit + 1, 1 << 40, 1 << 63, ^Word(0)} {
+		if a, err := m.Alloc(n); a != 0 || err != nil {
+			t.Fatalf("Alloc(%#x) = %#x, %v; want NULL", n, a, err)
+		}
+	}
+	if len(m.Segments()) != 0 {
+		t.Fatalf("refused allocations mapped %d segments", len(m.Segments()))
+	}
+	a, err := m.Alloc(HeapLimit / 2)
+	if a == 0 || err != nil {
+		t.Fatalf("Alloc(HeapLimit/2) = %#x, %v", a, err)
+	}
+	if b, err := m.Alloc(HeapLimit / 2); b != 0 || err != nil {
+		t.Fatalf("second half-ceiling Alloc = %#x, %v; want NULL (guards push it past the ceiling)", b, err)
+	}
+	if b, err := m.Alloc(64); b == 0 || err != nil {
+		t.Fatalf("small Alloc under the ceiling = %#x, %v", b, err)
+	}
+}

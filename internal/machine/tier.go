@@ -2,28 +2,26 @@ package machine
 
 import "fmt"
 
-// InterpTier selects which dispatch level Run uses when no step hooks
-// are installed. The zero value is the fastest tier, so fresh CPUs and
-// zero-valued configs get the default engine; every tier is
-// bit-identical in results (the differential suites and the CI smokes
-// enforce it), so the knob exists for that check and for timing
-// comparisons.
+// InterpTier selects how Run executes when no retire hooks are
+// installed. The zero value is the superblock engine, so fresh CPUs and
+// zero-valued configs get it; both tiers are bit-identical in results
+// (the differential suites and the trace fixtures enforce it), so the
+// knob exists for that check and for timing comparisons.
 type InterpTier uint8
 
 const (
 	// TierSuperblock (the default) runs the fused engine: fallthrough
 	// chains retire under a single budget/Dyn accounting check and
-	// branches linked at predecode jump straight to the successor µop.
+	// branches linked at predecode jump straight to the successor µop;
+	// only instructions that need it (stop points, host calls,
+	// misaligned PCs) go to Step.
 	TierSuperblock InterpTier = iota
-	// TierBlock runs the per-µop block-predecoded loop (one dispatch,
-	// one budget charge and one PC update per instruction).
-	TierBlock
-	// TierStep forces the legacy per-instruction Step loop — the
-	// reference semantics every faster tier must reproduce bit for bit.
+	// TierStep forces the per-instruction Step loop — the reference
+	// semantics the engine must reproduce bit for bit.
 	TierStep
 )
 
-var tierNames = [...]string{"superblock", "block", "step"}
+var tierNames = [...]string{"superblock", "step"}
 
 // String renders the tier the way the -interp CLI flags spell it.
 func (t InterpTier) String() string {
@@ -40,9 +38,9 @@ func ParseInterpTier(s string) (InterpTier, error) {
 			return InterpTier(i), nil
 		}
 	}
-	return TierSuperblock, fmt.Errorf("machine: unknown interpreter tier %q (want superblock, block or step)", s)
+	return TierSuperblock, fmt.Errorf("machine: unknown interpreter tier %q (want superblock or step)", s)
 }
 
 // Tiers lists every interpreter tier, fastest first — the order the
 // differential tests sweep.
-func Tiers() []InterpTier { return []InterpTier{TierSuperblock, TierBlock, TierStep} }
+func Tiers() []InterpTier { return []InterpTier{TierSuperblock, TierStep} }

@@ -73,8 +73,11 @@ func Run(app *core.Binary, libs []*core.Binary, limit uint64) (*Profile, error) 
 // snapEvery retired instructions the golden process is checkpointed
 // (frozen copy-on-write, so each capture costs O(segments), with the
 // byte copying deferred to the segments the run actually dirties before
-// the next capture). snapEvery == 0 disables capture; the profile is
-// then identical to Run's.
+// the next capture). The run proceeds in budget slices that end on the
+// capture points, so it stays on the fast engine throughout: the golden
+// run is fault-free and unhandled, so every attempted instruction
+// retires and a slice of k budget retires exactly k. snapEvery == 0
+// disables capture; the profile is then identical to Run's.
 func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery uint64) (*Profile, error) {
 	p, err := core.NewProcess(core.ProcessConfig{App: app, Libs: libs})
 	if err != nil {
@@ -82,26 +85,7 @@ func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery ui
 	}
 	p.CPU.Profile = true
 	prof := &Profile{Counts: map[string][]uint64{}}
-	if snapEvery > 0 {
-		copyCounts := func(c *machine.CPU) map[string][]uint64 {
-			m := make(map[string][]uint64, len(c.Counts))
-			for img, cnts := range c.Counts {
-				m[img.Prog.Name] = append([]uint64(nil), cnts...)
-			}
-			return m
-		}
-		remove := p.CPU.AddAfterStep(func(c *machine.CPU, _ *machine.Image, _ int, _ *machine.MInstr) {
-			if c.Dyn%snapEvery == 0 {
-				prof.Snaps = append(prof.Snaps, SnapPoint{
-					Dyn:    c.Dyn,
-					State:  checkpoint.Capture(c, 0),
-					Counts: copyCounts(c),
-				})
-			}
-		})
-		defer remove()
-	}
-	st := p.Run(limit)
+	st := runCapturing(p, limit, snapEvery, prof)
 	if st != machine.StatusExited {
 		return nil, fmt.Errorf("profiler: golden run did not exit: %v (trap %v)", st, p.CPU.PendingTrap)
 	}
@@ -112,4 +96,45 @@ func RunWithSnapshots(app *core.Binary, libs []*core.Binary, limit, snapEvery ui
 		prof.Counts[img.Prog.Name] = cnts
 	}
 	return prof, nil
+}
+
+// runCapturing runs the process within limit (0 = none), appending a
+// snapshot to prof.Snaps at every positive multiple of snapEvery the
+// retirement count reaches (none when snapEvery is 0).
+func runCapturing(p *core.Process, limit, snapEvery uint64, prof *Profile) machine.RunStatus {
+	if snapEvery == 0 {
+		return p.Run(limit)
+	}
+	c := p.CPU
+	left := limit
+	for {
+		slice := snapEvery - c.Dyn%snapEvery
+		if limit > 0 && left < slice {
+			slice = left
+		}
+		start := c.Dyn
+		st := c.Run(slice)
+		left -= c.Dyn - start
+		if st != machine.StatusLimit || c.Dyn%snapEvery != 0 {
+			return st
+		}
+		prof.Snaps = append(prof.Snaps, SnapPoint{
+			Dyn:    c.Dyn,
+			State:  checkpoint.Capture(c, 0),
+			Counts: copyCounts(c),
+		})
+		if limit > 0 && left == 0 {
+			return st
+		}
+	}
+}
+
+// copyCounts copies the CPU's per-image execution counts, keyed by
+// program name.
+func copyCounts(c *machine.CPU) map[string][]uint64 {
+	m := make(map[string][]uint64, len(c.Counts))
+	for img, cnts := range c.Counts {
+		m[img.Prog.Name] = append([]uint64(nil), cnts...)
+	}
+	return m
 }

@@ -13,7 +13,7 @@ import (
 
 // diffTiers are the fast engine tiers checked against the Step-loop
 // reference.
-var diffTiers = []machine.InterpTier{machine.TierSuperblock, machine.TierBlock}
+var diffTiers = []machine.InterpTier{machine.TierSuperblock}
 
 // buildSeed compiles the progen module for one seed (fresh module per
 // call — Build mutates the IR in place).
@@ -221,7 +221,7 @@ func TestEngineDifferentialStopPC(t *testing.T) {
 // — dense branch chains, call/ret ladders, tight self-loops — that
 // specifically exercise superblock entry/exit and the stack-segment
 // inline cache, and runs each clean, faulted, and with a StopPC probe
-// through all three tiers.
+// through both tiers.
 func TestEngineDifferentialShapes(t *testing.T) {
 	shapes := Options{DenseBranches: 24, CallLadderDepth: 6, TightLoops: 8}
 	seeds := 4

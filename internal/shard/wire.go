@@ -265,17 +265,17 @@ func encodeProfileDedup(p *profiler.Profile, st *store.Store) (wireProfile, bool
 		ws.HeapNext = uint64(sp.State.Mem.HeapNext)
 		for _, seg := range sp.State.Mem.Segs {
 			var r ref
-			if len(seg.Data) > 0 {
-				if c, ok := seen[&seg.Data[0]]; ok && c.n == len(seg.Data) {
+			if data := seg.Image(); len(data) > 0 {
+				if c, ok := seen[&data[0]]; ok && c.n == len(data) {
 					r = c
 				} else {
-					pages, err := st.PutChunked(seg.Data)
+					pages, err := st.PutChunked(data)
 					if err != nil {
 						st.AddFallback()
 						return encodeProfile(p), false
 					}
-					r = ref{pages: pages, n: len(seg.Data)}
-					seen[&seg.Data[0]] = r
+					r = ref{pages: pages, n: len(data)}
+					seen[&data[0]] = r
 				}
 			}
 			ws.SegRefs = append(ws.SegRefs, wireSegRef{

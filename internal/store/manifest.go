@@ -138,7 +138,7 @@ func (s *Store) PutProfile(key Key, prof *profiler.Profile, text []TextImage) er
 			sm.R[j] = uint64(w)
 		}
 		for _, seg := range st.Mem.Segs {
-			sr, err := putSeg(seg.Base, seg.Name, seg.Data, seg.Domain)
+			sr, err := putSeg(seg.Base, seg.Name, seg.Image(), seg.Domain)
 			if err != nil {
 				return err
 			}
